@@ -260,8 +260,6 @@ fn main() {
         let c = fleet.with_bank(shard, |bank| bank.store_census());
         census.mono_2x3 += c.mono_2x3;
         census.mono_6x46 += c.mono_6x46;
-        census.mono_6x52 += c.mono_6x52;
-        census.mono_6x164 += c.mono_6x164;
         census.overflow += c.overflow;
         census.slots += c.slots;
     }

@@ -118,15 +118,13 @@ struct Row {
 /// Times all four legs for one const-generic shape and verifies session-level
 /// bit identity.
 fn bench_shape<const X: usize, const Z: usize>(quick: bool, repeats: usize) -> Row {
-    // The per-step cost scales with the z x z inverse work, so the big BCI
-    // shapes run fewer steps to keep wall-clock bounded.
+    // The per-step cost scales with the z x z inverse work, so the BCI
+    // shape runs fewer steps to keep wall-clock bounded.
     let steps = match (Z, quick) {
         (..=9, false) => 20_000,
         (..=9, true) => 2_000,
-        (..=99, false) => 2_000,
-        (..=99, true) => 200,
-        (_, false) => 300,
-        (_, true) => 48,
+        (_, false) => 2_000,
+        (_, true) => 200,
     };
     let zs = measurements(Z, steps);
 
@@ -221,8 +219,6 @@ fn main() {
     let rows = [
         bench_shape::<2, 3>(quick, repeats),
         bench_shape::<6, 46>(quick, repeats),
-        bench_shape::<6, 52>(quick, repeats),
-        bench_shape::<6, 164>(quick, repeats),
     ];
     assert_eq!(
         rows.iter().map(|r| (r.x, r.z)).collect::<Vec<_>>(),

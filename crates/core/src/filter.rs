@@ -5,14 +5,14 @@ use kalmmind_obs as obs;
 
 use crate::gain::{GainContext, GainStrategy, InverseGain};
 use crate::inverse::{CalcInverse, CalcMethod};
+use crate::kernel::{self, ModelRef};
 use crate::workspace::StepWorkspace;
 use crate::{KalmMindConfig, KalmanError, KalmanModel, KalmanState, Result};
 
 // Phase timers for the reorganized step (no-ops unless `obs` is enabled).
 // Separate histogram families rather than one labeled family because the
-// exporter keys histograms by name; the `kf_` prefix groups them.
-// `pub(crate)` so the monomorphized step kernel in `small` feeds the same
-// counter and timer families as the dynamic path.
+// exporter keys histograms by name; the `kf_` prefix groups them. The one
+// allocation-free step in `kernel` feeds them for both storage layouts.
 pub(crate) static OBS_STEPS: obs::LazyCounter =
     obs::LazyCounter::new("kf_steps_total", "Workspace KF iterations completed");
 pub(crate) static OBS_PREDICT: obs::LazyHistogram = obs::LazyHistogram::new(
@@ -265,60 +265,31 @@ impl<T: Scalar, G: GainStrategy<T>> KalmanFilter<T, G> {
                 what: "measurement",
             });
         }
-        let f = self.model.f();
-        let h = self.model.h();
-
-        // --- Predict (measurement-independent) ---
-        {
-            let _t = OBS_PREDICT.start_timer();
-            f.mul_vector_into(self.state.x(), &mut ws.x_pred)?;
-            f.mul_into(self.state.p(), &mut ws.fp)?;
-            f.transpose_into(&mut ws.ft)?;
-            ws.fp.mul_into(&ws.ft, &mut ws.p_pred)?;
-            ws.p_pred.add_assign(self.model.q())?;
-            ws.p_pred.symmetrize();
-        }
-
-        // --- Compute K (measurement-independent: the reorganized module) ---
-        {
-            let _t = OBS_GAIN.start_timer();
-            self.gain.gain_into(
-                GainContext {
-                    p_pred: &ws.p_pred,
-                    model: &self.model,
-                    iteration: self.iteration,
-                },
-                &mut ws.k,
-                &mut ws.gain,
-            )?;
-        }
-
-        // --- Update (needs the measurement) ---
-        {
-            let _t = OBS_UPDATE.start_timer();
-            h.mul_vector_into(&ws.x_pred, &mut ws.hx)?;
-            ws.y.copy_from(z)?;
-            ws.y.sub_assign(&ws.hx)?; // innovation
-            ws.k.mul_vector_into(&ws.y, &mut ws.ky)?;
-            ws.x_pred.add_assign(&ws.ky)?; // x_pred now holds x_new
-            ws.k.mul_into(h, &mut ws.kh)?;
-            // kh <- I − K·H, element-for-element the subtraction
-            // `identity.checked_sub(&kh)` performs in `step`.
-            let x_dim = self.model.x_dim();
-            for i in 0..x_dim {
-                for j in 0..x_dim {
-                    let v = ws.kh[(i, j)];
-                    ws.kh[(i, j)] = if i == j { T::ONE - v } else { T::ZERO - v };
-                }
-            }
-            ws.kh.mul_into(&ws.p_pred, &mut ws.p_new)?;
-            ws.p_new.symmetrize();
-        }
-
-        // Double-buffer swap, by copy instead of by move.
-        self.state.assign(&ws.x_pred, &ws.p_new);
+        let (model, gain, iteration) = (&self.model, &mut self.gain, self.iteration);
+        let (x, p) = self.state.parts_mut();
+        kernel::step(
+            ModelRef {
+                f: model.f(),
+                q: model.q(),
+                h: model.h(),
+            },
+            x,
+            p,
+            z,
+            ws,
+            |p_pred, k, gain_ws| {
+                gain.gain_into(
+                    GainContext {
+                        p_pred,
+                        model,
+                        iteration,
+                    },
+                    k,
+                    gain_ws,
+                )
+            },
+        )?;
         self.iteration += 1;
-        OBS_STEPS.inc();
         Ok(&self.state)
     }
 

@@ -181,20 +181,14 @@ impl<T: Scalar, I: InverseStrategy<T>> GainStrategy<T> for InverseGain<I> {
         k: &mut Matrix<T>,
         ws: &mut GainWorkspace<T>,
     ) -> Result<()> {
-        let h = ctx.model.h();
-        // S = (H·P)·Hᵀ + R, operation-for-operation the same as
-        // `innovation_covariance` so the results are bit-identical.
-        h.mul_into(ctx.p_pred, &mut ws.hp)?;
-        h.transpose_into(&mut ws.ht)?;
-        ws.hp.mul_into(&ws.ht, &mut ws.s)?;
-        ws.s.add_assign(ctx.model.r())?;
-        ws.s_filled = false;
-        self.inverse
-            .invert_into(&ws.s, ctx.iteration, &mut ws.s_inv, &mut ws.inv)?;
-        ws.s_filled = true;
-        ctx.p_pred.mul_into(&ws.ht, &mut ws.pht)?;
-        ws.pht.mul_into(&ws.s_inv, k)?;
-        Ok(())
+        let inverse = &mut self.inverse;
+        ws.inverse_gain(
+            ctx.model.h(),
+            ctx.model.r(),
+            ctx.p_pred,
+            k,
+            |s, s_inv, inv| inverse.invert_into(s, ctx.iteration, s_inv, inv),
+        )
     }
 
     fn name(&self) -> &'static str {

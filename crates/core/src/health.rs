@@ -31,11 +31,12 @@
 //!
 //! [`KalmanFilter::step_with`]: crate::KalmanFilter::step_with
 
-use kalmmind_linalg::{norms, Scalar};
+use kalmmind_linalg::dense::Dense;
+use kalmmind_linalg::Scalar;
 use kalmmind_obs as obs;
 
 use crate::inverse::InversePath;
-use crate::workspace::StepWorkspace;
+use crate::workspace::{StepBuffers, StepWorkspace, Storage};
 use crate::KalmanState;
 
 // Health instruments (no-ops unless `obs` is enabled). Process-global
@@ -217,33 +218,46 @@ impl StepDiagnostics {
         state: &KalmanState<T>,
         iteration: usize,
     ) -> Self {
+        Self::probe(ws, state.x(), state.p(), iteration)
+    }
+
+    /// [`StepDiagnostics::from_step`] over either storage layout: reads the
+    /// buffers the step just filled (`y`, `S`, `S⁻¹`, the path tag) and the
+    /// updated state `x`, `p`; never writes anything.
+    pub(crate) fn probe<T: Scalar, S: Storage<T>>(
+        ws: &StepBuffers<T, S>,
+        x: &S::VX,
+        p: &S::XX,
+        iteration: usize,
+    ) -> Self {
+        let y = ws.y.as_slice();
         let mut innovation_sq = 0.0f64;
-        for i in 0..ws.y.len() {
-            let v = ws.y[i].to_f64();
+        for v in y {
+            let v = v.to_f64();
             innovation_sq += v * v;
         }
         let innovation_norm = innovation_sq.sqrt();
 
         let path = ws.gain.inv.last_path;
         let (nis, cond_s, newton_residual) = if ws.gain.s_filled {
-            let s = &ws.gain.s;
-            let s_inv = &ws.gain.s_inv;
-            let n = s.rows();
+            let (s, s_inv) = (&ws.gain.s, &ws.gain.s_inv);
+            let n = s.shape().0;
+            let (sv, iv) = (s.as_slice(), s_inv.as_slice());
             let mut nis = 0.0f64;
             for i in 0..n {
-                let yi = ws.y[i].to_f64();
+                let yi = y[i].to_f64();
                 for j in 0..n {
-                    nis += yi * s_inv[(i, j)].to_f64() * ws.y[j].to_f64();
+                    nis += yi * iv[i * n + j].to_f64() * y[j].to_f64();
                 }
             }
-            let cond = norms::inf_norm(s) * norms::inf_norm(s_inv);
+            let cond = s.inf_norm() * s_inv.inf_norm();
             let residual = if path == InversePath::Approx {
                 let mut acc = 0.0f64;
                 for i in 0..n {
                     for j in 0..n {
                         let mut dot = 0.0f64;
                         for k in 0..n {
-                            dot += s[(i, k)].to_f64() * s_inv[(k, j)].to_f64();
+                            dot += sv[i * n + k].to_f64() * iv[k * n + j].to_f64();
                         }
                         let d = dot - if i == j { 1.0 } else { 0.0 };
                         acc += d * d;
@@ -258,17 +272,17 @@ impl StepDiagnostics {
             (None, None, None)
         };
 
-        let p = state.p();
-        let n = p.rows();
+        let n = p.shape().0;
+        let pv = p.as_slice();
         let mut max_diag = 0.0f64;
         let mut min_p_diag = f64::INFINITY;
         let mut asym = 0.0f64;
         for i in 0..n {
-            let d = p[(i, i)].to_f64();
+            let d = pv[i * n + i].to_f64();
             min_p_diag = min_p_diag.min(d);
             max_diag = max_diag.max(d.abs());
             for j in (i + 1)..n {
-                asym = asym.max((p[(i, j)].to_f64() - p[(j, i)].to_f64()).abs());
+                asym = asym.max((pv[i * n + j].to_f64() - pv[j * n + i].to_f64()).abs());
             }
         }
         if n == 0 {
@@ -285,7 +299,7 @@ impl StepDiagnostics {
             newton_residual,
             symmetry_drift,
             min_p_diag,
-            state_finite: state.x().all_finite() && p.all_finite(),
+            state_finite: x.all_finite() && p.all_finite(),
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The KalmMind technique: interleaving exact calculation with Newton–Schulz
 //! approximation across consecutive KF iterations (paper Section III).
 
+use kalmmind_linalg::dense::{self, Dense};
 use kalmmind_linalg::{iterative, Matrix, Scalar};
 use kalmmind_obs as obs;
 
@@ -8,7 +9,7 @@ use crate::inverse::{
     store_history, CalcMethod, InterleavedSpec, InterleavedState, InversePath, InverseStrategy,
     SeedPolicy,
 };
-use crate::workspace::InverseWorkspace;
+use crate::workspace::{Dyn, InverseBuffers, InverseWorkspace, Storage};
 use crate::{KalmanError, Result};
 
 // Path counters (no-ops unless `obs` is enabled). These aggregate across
@@ -34,6 +35,133 @@ static OBS_NEWTON_ITERS: obs::LazyCounter = obs::LazyCounter::new(
     "kf_newton_iterations_total",
     "Newton-Schulz internal iterations executed across all strategies",
 );
+
+/// Per-instance path counts (diagnostics only — the schedule depends solely
+/// on the global iteration index).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PathTally {
+    calc: usize,
+    approx: usize,
+    fallback: usize,
+}
+
+impl PathTally {
+    // Single bookkeeping site per event: each feeds both the per-instance
+    // count and the process-wide obs counter, so the two never drift apart
+    // between `invert` and `invert_into`, or between storage layouts.
+    fn calc(&mut self) {
+        self.calc += 1;
+        OBS_PATH_CALC.inc();
+    }
+
+    fn approx(&mut self, newton_iters: usize) {
+        self.approx += 1;
+        OBS_PATH_APPROX.inc();
+        OBS_NEWTON_ITERS.add(newton_iters as u64);
+    }
+
+    fn fallback(&mut self) {
+        self.fallback += 1;
+        OBS_FALLBACKS.inc();
+    }
+}
+
+/// The interleaved schedule over one storage layout: the four registers and
+/// the seed history. [`InterleavedInverse`] runs it on heap matrices; the
+/// monomorphized session in [`small`](crate::small) runs the same code on
+/// const-generic ones.
+#[derive(Debug, Clone)]
+pub(crate) struct Schedule<T: Scalar, S: Storage<T>> {
+    pub(crate) calc: CalcMethod,
+    pub(crate) approx: usize,
+    pub(crate) calc_freq: u32,
+    pub(crate) policy: SeedPolicy,
+    /// Inverse produced by the most recent Path A iteration.
+    pub(crate) last_calculated: Option<S::ZZ>,
+    /// Inverse produced by the most recent iteration of either path.
+    pub(crate) previous: Option<S::ZZ>,
+}
+
+impl<T: Scalar, S: Storage<T>> Schedule<T, S> {
+    pub(crate) fn new(spec: InterleavedSpec) -> Self {
+        Self {
+            calc: spec.calc,
+            approx: spec.approx,
+            calc_freq: spec.calc_freq,
+            policy: spec.policy,
+            last_calculated: None,
+            previous: None,
+        }
+    }
+
+    pub(crate) fn spec(&self) -> InterleavedSpec {
+        InterleavedSpec {
+            calc: self.calc,
+            approx: self.approx,
+            calc_freq: self.calc_freq,
+            policy: self.policy,
+        }
+    }
+
+    /// The history matrix the seed policy picks (Eq. 5 or Eq. 4).
+    fn history(&self) -> Option<&S::ZZ> {
+        match self.policy {
+            SeedPolicy::LastCalculated => self.last_calculated.as_ref(),
+            SeedPolicy::PreviousIteration => self.previous.as_ref(),
+        }
+    }
+
+    /// `S⁻¹` for KF iteration `iteration` into `out`: Path A on scheduled
+    /// iterations, otherwise Path B seeded per policy (the certified safe
+    /// seed when no usable history exists), recomputed exactly when Newton
+    /// diverges to NaN/∞ — installing that as `previous` would poison every
+    /// later PreviousIteration seed.
+    pub(crate) fn invert_into(
+        &mut self,
+        s: &S::ZZ,
+        iteration: usize,
+        out: &mut S::ZZ,
+        ws: &mut InverseBuffers<T, S>,
+        tally: &mut PathTally,
+    ) -> Result<()> {
+        if InterleavedInverse::<T>::is_calc_iteration(self.calc_freq, iteration) {
+            self.calculate(s, out, ws, InversePath::Calc)?;
+            tally.calc();
+        } else {
+            match self.history() {
+                Some(history) if history.shape() == s.shape() => ws.seed.copy_from(history)?,
+                _ => s.safe_seed_into(&mut ws.seed)?,
+            }
+            tally.approx(self.approx);
+            ws.last_path = InversePath::Approx;
+            dense::newton_schulz_into(s, &ws.seed, self.approx, &mut ws.scratch, &mut ws.tmp, out)?;
+            if !out.all_finite() {
+                self.calculate(s, out, ws, InversePath::Fallback)?;
+                tally.fallback();
+            }
+        }
+        store_history(&mut self.previous, out);
+        Ok(())
+    }
+
+    /// Path A (or the fallback): exact inversion through the dynamic
+    /// [`CalcMethod`] factorization. It allocates inside the factorization,
+    /// but runs only every `calc_freq`-th iteration (or once for
+    /// `calc_freq = 0`), so the steady-state hot path is unaffected.
+    fn calculate(
+        &mut self,
+        s: &S::ZZ,
+        out: &mut S::ZZ,
+        ws: &mut InverseBuffers<T, S>,
+        path: InversePath,
+    ) -> Result<()> {
+        let inv = s.with_matrix(|s| self.calc.invert(s))?;
+        ws.last_path = path;
+        out.copy_from(&inv)?;
+        store_history(&mut self.last_calculated, out);
+        Ok(())
+    }
+}
 
 /// Interleaved calculation/approximation inversion — the paper's primary
 /// contribution.
@@ -72,22 +200,12 @@ static OBS_NEWTON_ITERS: obs::LazyCounter = obs::LazyCounter::new(
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct InterleavedInverse<T> {
-    calc: CalcMethod,
-    approx: usize,
-    calc_freq: u32,
-    policy: SeedPolicy,
-    /// Inverse produced by the most recent Path A iteration.
-    last_calculated: Option<Matrix<T>>,
-    /// Inverse produced by the most recent iteration of either path.
-    previous: Option<Matrix<T>>,
-    /// Count of Path A / Path B iterations executed (for reports and the
-    /// accelerator cycle model).
-    calc_count: usize,
-    approx_count: usize,
-    /// Count of Path B iterations whose Newton output was non-finite and had
-    /// to be recomputed on the calculation path.
-    fallback_count: usize,
+pub struct InterleavedInverse<T: Scalar> {
+    sched: Schedule<T, Dyn>,
+    /// Path A / Path B / fallback counts (for reports and the accelerator
+    /// cycle model). A fallback is a Path B iteration whose Newton output
+    /// was non-finite and had to be recomputed on the calculation path.
+    tally: PathTally,
 }
 
 impl<T: Scalar> InterleavedInverse<T> {
@@ -98,46 +216,44 @@ impl<T: Scalar> InterleavedInverse<T> {
     /// register); `policy` selects the seed equation.
     pub fn new(calc: CalcMethod, approx: usize, calc_freq: u32, policy: SeedPolicy) -> Self {
         Self {
-            calc,
-            approx,
-            calc_freq,
-            policy,
-            last_calculated: None,
-            previous: None,
-            calc_count: 0,
-            approx_count: 0,
-            fallback_count: 0,
+            sched: Schedule::new(InterleavedSpec {
+                calc,
+                approx,
+                calc_freq,
+                policy,
+            }),
+            tally: PathTally::default(),
         }
     }
 
     /// The calculation method of Path A.
     pub fn calc_method(&self) -> CalcMethod {
-        self.calc
+        self.sched.calc
     }
 
     /// The configured Newton internal-iteration count.
     pub fn approx(&self) -> usize {
-        self.approx
+        self.sched.approx
     }
 
     /// The configured calculation frequency.
     pub fn calc_freq(&self) -> u32 {
-        self.calc_freq
+        self.sched.calc_freq
     }
 
     /// The configured seed policy.
     pub fn policy(&self) -> SeedPolicy {
-        self.policy
+        self.sched.policy
     }
 
     /// Number of iterations that took Path A so far.
     pub fn calc_count(&self) -> usize {
-        self.calc_count
+        self.tally.calc
     }
 
     /// Number of iterations that took Path B so far.
     pub fn approx_count(&self) -> usize {
-        self.approx_count
+        self.tally.approx
     }
 
     /// Number of Path B iterations that produced a non-finite Newton result
@@ -147,7 +263,7 @@ impl<T: Scalar> InterleavedInverse<T> {
     /// (paper Eq. 3) — typically after an abrupt jump in `S` broke the
     /// temporal-correlation assumption behind the seed policies.
     pub fn fallback_count(&self) -> usize {
-        self.fallback_count
+        self.tally.fallback
     }
 
     /// Rebuilds a strategy from snapshot state, resuming the calc/approx
@@ -157,15 +273,19 @@ impl<T: Scalar> InterleavedInverse<T> {
     /// floating-point sequence the live strategy would have.
     pub fn restore(state: InterleavedState<T>) -> Self {
         Self {
-            calc: state.calc,
-            approx: state.approx,
-            calc_freq: state.calc_freq,
-            policy: state.policy,
-            last_calculated: state.last_calculated,
-            previous: state.previous,
-            calc_count: state.calc_count,
-            approx_count: state.approx_count,
-            fallback_count: state.fallback_count,
+            sched: Schedule {
+                calc: state.calc,
+                approx: state.approx,
+                calc_freq: state.calc_freq,
+                policy: state.policy,
+                last_calculated: state.last_calculated,
+                previous: state.previous,
+            },
+            tally: PathTally {
+                calc: state.calc_count,
+                approx: state.approx_count,
+                fallback: state.fallback_count,
+            },
         }
     }
 
@@ -180,52 +300,12 @@ impl<T: Scalar> InterleavedInverse<T> {
     }
 
     fn seed(&mut self, s: &Matrix<T>) -> Result<Matrix<T>> {
-        let chosen = match self.policy {
-            SeedPolicy::LastCalculated => self.last_calculated.as_ref(),
-            SeedPolicy::PreviousIteration => self.previous.as_ref(),
-        };
-        match chosen {
+        match self.sched.history() {
             Some(seed) if seed.shape() == s.shape() => Ok(seed.clone()),
             // No usable history (first iteration ran Path B after a reset,
             // or the dimensions changed): fall back to the certified seed.
             _ => Ok(iterative::safe_seed(s).map_err(KalmanError::from)?),
         }
-    }
-
-    /// Allocation-free variant of [`InterleavedInverse::seed`]: copies the
-    /// policy-chosen history into `out`, allocating only for the cold-start
-    /// safe seed.
-    fn seed_into(&mut self, s: &Matrix<T>, out: &mut Matrix<T>) -> Result<()> {
-        let chosen = match self.policy {
-            SeedPolicy::LastCalculated => self.last_calculated.as_ref(),
-            SeedPolicy::PreviousIteration => self.previous.as_ref(),
-        };
-        match chosen {
-            Some(seed) if seed.shape() == s.shape() => Ok(out.copy_from(seed)?),
-            _ => {
-                *out = iterative::safe_seed(s).map_err(KalmanError::from)?;
-                Ok(())
-            }
-        }
-    }
-
-    // Single bookkeeping site per event: each helper feeds both the
-    // per-instance counter and the process-wide obs counter, so the two can
-    // never drift apart between `invert` and `invert_into`.
-    fn note_calc(&mut self) {
-        self.calc_count += 1;
-        OBS_PATH_CALC.inc();
-    }
-
-    fn note_approx(&mut self) {
-        self.approx_count += 1;
-        OBS_PATH_APPROX.inc();
-        OBS_NEWTON_ITERS.add(self.approx as u64);
-    }
-
-    fn note_fallback(&mut self) {
-        self.fallback_count += 1;
-        OBS_FALLBACKS.inc();
     }
 }
 
@@ -241,34 +321,18 @@ pub(crate) fn interleaved_name(calc: CalcMethod) -> &'static str {
     }
 }
 
-// Process-wide path bookkeeping for the monomorphized session, feeding the
-// exact same obs counters as the dynamic strategy so `kf_inverse_path_total`
-// and friends aggregate both paths.
-pub(crate) fn note_path_calc() {
-    OBS_PATH_CALC.inc();
-}
-
-pub(crate) fn note_path_approx(newton_iters: usize) {
-    OBS_PATH_APPROX.inc();
-    OBS_NEWTON_ITERS.add(newton_iters as u64);
-}
-
-pub(crate) fn note_path_fallback() {
-    OBS_FALLBACKS.inc();
-}
-
 impl<T: Scalar> InverseStrategy<T> for InterleavedInverse<T> {
     fn invert(&mut self, s: &Matrix<T>, iteration: usize) -> Result<Matrix<T>> {
-        let inv = if Self::is_calc_iteration(self.calc_freq, iteration) {
-            let inv = self.calc.invert(s)?;
-            self.note_calc();
-            self.last_calculated = Some(inv.clone());
+        let inv = if Self::is_calc_iteration(self.sched.calc_freq, iteration) {
+            let inv = self.sched.calc.invert(s)?;
+            self.tally.calc();
+            self.sched.last_calculated = Some(inv.clone());
             inv
         } else {
             let seed = self.seed(s)?;
-            self.note_approx();
+            self.tally.approx(self.sched.approx);
             let approx =
-                iterative::newton_schulz(s, &seed, self.approx).map_err(KalmanError::from)?;
+                iterative::newton_schulz(s, &seed, self.sched.approx).map_err(KalmanError::from)?;
             if approx.all_finite() {
                 approx
             } else {
@@ -276,13 +340,13 @@ impl<T: Scalar> InverseStrategy<T> for InterleavedInverse<T> {
                 // Installing that as `previous` would poison every later
                 // PreviousIteration seed, so recompute exactly and refresh
                 // the history with a certified inverse instead.
-                let inv = self.calc.invert(s)?;
-                self.note_fallback();
-                self.last_calculated = Some(inv.clone());
+                let inv = self.sched.calc.invert(s)?;
+                self.tally.fallback();
+                self.sched.last_calculated = Some(inv.clone());
                 inv
             }
         };
-        self.previous = Some(inv.clone());
+        self.sched.previous = Some(inv.clone());
         Ok(inv)
     }
 
@@ -293,81 +357,42 @@ impl<T: Scalar> InverseStrategy<T> for InterleavedInverse<T> {
         out: &mut Matrix<T>,
         ws: &mut InverseWorkspace<T>,
     ) -> Result<()> {
-        if Self::is_calc_iteration(self.calc_freq, iteration) {
-            // Path A allocates inside the factorization; it runs every
-            // calc_freq-th iteration (or only once for calc_freq = 0), so the
-            // steady-state hot path is unaffected.
-            let inv = self.calc.invert(s)?;
-            self.note_calc();
-            ws.last_path = InversePath::Calc;
-            store_history(&mut self.last_calculated, &inv);
-            out.copy_from(&inv)?;
-        } else {
-            ws.fit(s.rows());
-            self.seed_into(s, &mut ws.seed)?;
-            self.note_approx();
-            ws.last_path = InversePath::Approx;
-            iterative::newton_schulz_into(
-                s,
-                &ws.seed,
-                self.approx,
-                &mut ws.scratch,
-                &mut ws.tmp,
-                out,
-            )
-            .map_err(KalmanError::from)?;
-            if !out.all_finite() {
-                // Same recovery as `invert`: recompute exactly rather than
-                // poisoning the seed history with NaN/∞.
-                let inv = self.calc.invert(s)?;
-                self.note_fallback();
-                ws.last_path = InversePath::Fallback;
-                store_history(&mut self.last_calculated, &inv);
-                out.copy_from(&inv)?;
-            }
-        }
-        store_history(&mut self.previous, out);
-        Ok(())
+        ws.fit(s.rows());
+        self.sched
+            .invert_into(s, iteration, out, ws, &mut self.tally)
     }
 
     fn name(&self) -> &'static str {
-        interleaved_name(self.calc)
+        interleaved_name(self.sched.calc)
     }
 
     fn reset(&mut self) {
-        self.last_calculated = None;
-        self.previous = None;
-        self.calc_count = 0;
-        self.approx_count = 0;
-        self.fallback_count = 0;
+        self.sched.last_calculated = None;
+        self.sched.previous = None;
+        self.tally = PathTally::default();
     }
 
     fn interleaved_spec(&self) -> Option<InterleavedSpec> {
         // Only a history-free strategy is safe to rebuild elsewhere: once a
         // seed matrix exists, a monomorphized restart would diverge from
         // this instance's trajectory.
-        if self.last_calculated.is_some() || self.previous.is_some() {
+        if self.sched.last_calculated.is_some() || self.sched.previous.is_some() {
             return None;
         }
-        Some(InterleavedSpec {
-            calc: self.calc,
-            approx: self.approx,
-            calc_freq: self.calc_freq,
-            policy: self.policy,
-        })
+        Some(self.sched.spec())
     }
 
     fn interleaved_state(&self) -> Option<InterleavedState<T>> {
         Some(InterleavedState {
-            calc: self.calc,
-            approx: self.approx,
-            calc_freq: self.calc_freq,
-            policy: self.policy,
-            calc_count: self.calc_count,
-            approx_count: self.approx_count,
-            fallback_count: self.fallback_count,
-            last_calculated: self.last_calculated.clone(),
-            previous: self.previous.clone(),
+            calc: self.sched.calc,
+            approx: self.sched.approx,
+            calc_freq: self.sched.calc_freq,
+            policy: self.sched.policy,
+            calc_count: self.tally.calc,
+            approx_count: self.tally.approx,
+            fallback_count: self.tally.fallback,
+            last_calculated: self.sched.last_calculated.clone(),
+            previous: self.sched.previous.clone(),
         })
     }
 }

@@ -27,12 +27,11 @@ mod sskf_newton;
 pub use calc::{CalcInverse, CalcMethod};
 pub use ifkf::IfkfInverse;
 pub use interleaved::InterleavedInverse;
-pub(crate) use interleaved::{
-    interleaved_name, note_path_approx, note_path_calc, note_path_fallback,
-};
+pub(crate) use interleaved::{interleaved_name, PathTally, Schedule};
 pub use newton::{InitialSeed, NewtonInverse};
 pub use sskf_newton::SskfNewtonInverse;
 
+use kalmmind_linalg::dense::Dense;
 use kalmmind_linalg::{Matrix, Scalar};
 
 use crate::workspace::InverseWorkspace;
@@ -188,7 +187,7 @@ pub struct InterleavedState<T> {
 /// Copies `value` into an optional history slot, reusing the existing buffer
 /// when shapes match (the allocation-free steady-state path) and cloning
 /// only on first use or after a dimension change.
-pub(crate) fn store_history<T: Scalar>(slot: &mut Option<Matrix<T>>, value: &Matrix<T>) {
+pub(crate) fn store_history<T: Scalar, M: Dense<T> + Clone>(slot: &mut Option<M>, value: &M) {
     match slot {
         Some(existing) if existing.shape() == value.shape() => {
             existing.copy_from(value).expect("shapes were just checked");

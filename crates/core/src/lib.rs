@@ -52,9 +52,9 @@
 mod config;
 mod error;
 mod filter;
+mod kernel;
 mod model;
 mod state;
-mod workspace;
 
 pub mod accuracy;
 pub mod adaptive;
@@ -66,7 +66,7 @@ pub mod small;
 pub mod snapshot;
 pub mod sweep;
 pub mod train;
-pub mod tuner;
+pub mod workspace;
 
 pub use config::{KalmMindConfig, KalmMindConfigBuilder, MAX_APPROX, MAX_CALC_FREQ};
 pub use error::KalmanError;

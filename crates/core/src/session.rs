@@ -29,7 +29,9 @@ use std::fmt;
 
 use crate::gain::GainStrategy;
 use crate::health::{FlightRecorder, HealthMonitor, HealthStatus, StepDiagnostics};
+use crate::workspace::{StepBuffers, Storage};
 use crate::{KalmanError, KalmanFilter, KalmanState, Result, StepWorkspace};
+use kalmmind_linalg::dense::Dense;
 use kalmmind_linalg::{Scalar, Vector};
 use kalmmind_obs as obs;
 
@@ -168,8 +170,6 @@ impl SessionHealth {
 
     /// Feeds one step's diagnostics into the monitor and ring, dumping the
     /// flight recorder when health worsens past its previous worst.
-    /// `pub(crate)` so the monomorphized session in [`crate::small`] shares
-    /// the exact dump-on-worsening policy.
     pub(crate) fn observe(
         &mut self,
         diag: &StepDiagnostics,
@@ -203,6 +203,61 @@ impl SessionHealth {
                     self.recorder
                         .dump_json(self.label, strategy, "failed", reason, steps_total),
                 );
+        }
+    }
+}
+
+/// The measurement half of the [`SessionBackend::step`] contract, shared
+/// by every software session: checks the length and converts the `f64`
+/// boundary slice into the session's element type.
+pub(crate) fn load_measurement<T: Scalar>(z: &[f64], z_buf: &mut impl Dense<T>) -> Result<()> {
+    let buf = z_buf.as_mut_slice();
+    if z.len() != buf.len() {
+        return Err(KalmanError::BadVector {
+            expected: buf.len(),
+            actual: z.len(),
+            what: "session measurement",
+        });
+    }
+    for (dst, &src) in buf.iter_mut().zip(z) {
+        *dst = T::from_f64(src);
+    }
+    Ok(())
+}
+
+/// The health half of the [`SessionBackend::step`] contract, shared by
+/// every software session whatever its storage layout: after the step ran
+/// as `iteration`, probe its buffers into the health monitor (`obs` builds
+/// only; the branch compiles out otherwise), and latch Diverged with a
+/// flight dump on a non-finite state or an error.
+pub(crate) fn finish_step<T: Scalar, S: Storage<T>>(
+    outcome: Result<()>,
+    health: &mut SessionHealth,
+    strategy: &'static str,
+    iteration: usize,
+    ws: &StepBuffers<T, S>,
+    x: &S::VX,
+    p: &S::XX,
+) -> Result<StepOutcome> {
+    let steps_total = iteration as u64 + 1;
+    match outcome {
+        Ok(()) => {
+            let finite = x.all_finite() && p.all_finite();
+            if obs::is_enabled() {
+                let diag = StepDiagnostics::probe(ws, x, p, iteration);
+                health.observe(&diag, strategy, steps_total);
+            }
+            if finite {
+                Ok(StepOutcome::Ok)
+            } else {
+                health.fail(NON_FINITE_REASON, strategy, steps_total);
+                Ok(StepOutcome::NonFinite)
+            }
+        }
+        Err(err) => {
+            // A failed step never advanced the iteration counter.
+            health.fail(&err.to_string(), strategy, iteration as u64);
+            Err(err)
         }
     }
 }
@@ -370,44 +425,19 @@ impl<T: Scalar, G: GainStrategy<T> + 'static> SessionBackend for FilterSession<T
     }
 
     fn step(&mut self, z: &[f64]) -> Result<StepOutcome> {
-        if z.len() != self.z_buf.len() {
-            return Err(KalmanError::BadVector {
-                expected: self.z_buf.len(),
-                actual: z.len(),
-                what: "session measurement",
-            });
-        }
-        for (dst, &src) in self.z_buf.as_mut_slice().iter_mut().zip(z) {
-            *dst = T::from_f64(src);
-        }
+        load_measurement(z, &mut self.z_buf)?;
         let iteration = self.filter.iteration();
-        match self.filter.step_with(&self.z_buf, &mut self.ws) {
-            Ok(state) => {
-                let finite = state.x().all_finite() && state.p().all_finite();
-                if obs::is_enabled() {
-                    // Read-only probe of the buffers the step just filled;
-                    // the branch is compiled out entirely when `obs` is off.
-                    let diag = StepDiagnostics::from_step(&self.ws, state, iteration);
-                    let strategy = self.filter.strategy_name();
-                    let steps_total = self.filter.iteration() as u64;
-                    self.health.observe(&diag, strategy, steps_total);
-                }
-                if finite {
-                    Ok(StepOutcome::Ok)
-                } else {
-                    let strategy = self.filter.strategy_name();
-                    let steps_total = self.filter.iteration() as u64;
-                    self.health.fail(NON_FINITE_REASON, strategy, steps_total);
-                    Ok(StepOutcome::NonFinite)
-                }
-            }
-            Err(err) => {
-                let strategy = self.filter.strategy_name();
-                let steps_total = self.filter.iteration() as u64;
-                self.health.fail(&err.to_string(), strategy, steps_total);
-                Err(err)
-            }
-        }
+        let outcome = self.filter.step_with(&self.z_buf, &mut self.ws).map(|_| ());
+        let state = self.filter.state();
+        finish_step(
+            outcome,
+            &mut self.health,
+            self.filter.strategy_name(),
+            iteration,
+            &self.ws,
+            state.x(),
+            state.p(),
+        )
     }
 
     fn state(&self) -> KalmanState<f64> {

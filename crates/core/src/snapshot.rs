@@ -736,6 +736,18 @@ pub fn restore_filter_session<T: Scalar>(
     Ok(FilterSession::from_restored(filter, rebuild_health(snap)))
 }
 
+/// Restores a snapshot onto the dynamic `"software"` backend, whatever
+/// backend label it carries, dispatching on its scalar label.
+pub(crate) fn restore_dynamic_session(snap: &SessionSnapshot) -> Result<Box<dyn SessionBackend>> {
+    match snap.scalar.as_str() {
+        "f64" => Ok(Box::new(restore_filter_session::<f64>(snap)?)),
+        "f32" => Ok(Box::new(restore_filter_session::<f32>(snap)?)),
+        "q16.16" => Ok(Box::new(restore_filter_session::<Q16_16>(snap)?)),
+        "q32.32" => Ok(Box::new(restore_filter_session::<Q32_32>(snap)?)),
+        other => Err(bad(format!("unknown snapshot scalar {other:?}"))),
+    }
+}
+
 /// Restores a snapshot into a boxed [`SessionBackend`], dispatching on the
 /// document's backend and scalar labels. Handles the `"software"` (dynamic)
 /// and `"software-mono"` (monomorphized) backends over all four scalar
@@ -758,13 +770,7 @@ pub fn restore(text: &str) -> Result<Box<dyn SessionBackend>> {
 /// Same as [`restore`], minus the parse failures.
 pub fn restore_snapshot(snap: &SessionSnapshot) -> Result<Box<dyn SessionBackend>> {
     match snap.backend.as_str() {
-        "software" => match snap.scalar.as_str() {
-            "f64" => Ok(Box::new(restore_filter_session::<f64>(snap)?)),
-            "f32" => Ok(Box::new(restore_filter_session::<f32>(snap)?)),
-            "q16.16" => Ok(Box::new(restore_filter_session::<Q16_16>(snap)?)),
-            "q32.32" => Ok(Box::new(restore_filter_session::<Q32_32>(snap)?)),
-            other => Err(bad(format!("unknown snapshot scalar {other:?}"))),
-        },
+        "software" => restore_dynamic_session(snap),
         "software-mono" => crate::small::restore_mono_session(snap),
         other => Err(bad(format!(
             "no built-in restorer for backend {other:?}; register one with the bank"

@@ -68,20 +68,10 @@ impl<T: Scalar> KalmanState<T> {
         self.p = p;
     }
 
-    /// Copies both halves from workspace buffers without reallocating —
-    /// the allocation-free analogue of [`KalmanState::replace`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (via the copy kernels) only if the source dimensions disagree
-    /// with this state's, which the filter's shape checks rule out.
-    pub(crate) fn assign(&mut self, x: &Vector<T>, p: &Matrix<T>) {
-        self.x
-            .copy_from(x)
-            .expect("state dimension is fixed at construction");
-        self.p
-            .copy_from(p)
-            .expect("covariance dimension is fixed at construction");
+    /// Mutable borrows of both halves — the allocation-free step copies its
+    /// workspace results into them in place.
+    pub(crate) fn parts_mut(&mut self) -> (&mut Vector<T>, &mut Matrix<T>) {
+        (&mut self.x, &mut self.p)
     }
 
     /// Converts the state to another scalar type through `f64`.

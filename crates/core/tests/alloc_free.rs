@@ -8,44 +8,23 @@
 //! claim that the accelerator's PLM working set is fixed at configuration
 //! time — the hot loop never touches the (heap) memory allocator.
 //!
-//! This lives in its own integration-test binary because `#[global_allocator]`
-//! is process-wide: mixing it into the shared test binaries would count
-//! other tests' allocations.
+//! The counter is per thread (`support/thread_alloc.rs`): only allocations
+//! the measuring test thread makes while armed are counted, so tests of
+//! this binary running in parallel cannot count each other's warm-up. It
+//! lives in its own integration-test binary because `#[global_allocator]`
+//! is process-wide.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+#[path = "support/thread_alloc.rs"]
+mod thread_alloc;
 
 use kalmmind::gain::InverseGain;
 use kalmmind::inverse::{CalcMethod, InterleavedInverse, NewtonInverse, SeedPolicy};
 use kalmmind::{KalmanFilter, KalmanModel, KalmanState};
 use kalmmind_linalg::{Matrix, Vector};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use thread_alloc::{count_allocations, ThreadCountingAlloc};
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::SeqCst)
-}
+static GLOBAL: ThreadCountingAlloc = ThreadCountingAlloc;
 
 fn model() -> KalmanModel<f64> {
     KalmanModel::new(
@@ -74,16 +53,14 @@ fn assert_steady_state_is_alloc_free<G: kalmmind::gain::GainStrategy<f64>>(
     for z in &zs[..warmup] {
         kf.step_with(z, &mut ws).expect("warmup step");
     }
-    let before = allocations();
-    for z in &zs[warmup..] {
-        kf.step_with(z, &mut ws).expect("steady-state step");
-    }
-    let after = allocations();
+    let ((), allocations) = count_allocations(|| {
+        for z in &zs[warmup..] {
+            kf.step_with(z, &mut ws).expect("steady-state step");
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
-        "steady-state step_with must not touch the heap ({} allocations over {steps} steps)",
-        after - before
+        allocations, 0,
+        "steady-state step_with must not touch the heap ({allocations} allocations over {steps} steps)"
     );
 }
 
@@ -110,9 +87,8 @@ fn interleaved_periodic_calc_allocates_only_on_calc_iterations() {
     }
     for (t, z) in zs.iter().enumerate().skip(6) {
         let calc_iteration = InterleavedInverse::<f64>::is_calc_iteration(4, t);
-        let before = allocations();
-        kf.step_with(z, &mut ws).expect("step");
-        let delta = allocations() - before;
+        let (result, delta) = count_allocations(|| kf.step_with(z, &mut ws).map(|_| ()));
+        result.expect("step");
         if !calc_iteration {
             assert_eq!(delta, 0, "Newton iteration {t} allocated {delta} times");
         }
@@ -138,9 +114,10 @@ fn allocating_step_does_allocate_as_a_control() {
     for t in 0..3 {
         kf.step(&measurement(t)).expect("warmup");
     }
-    let before = allocations();
-    for t in 3..10 {
-        kf.step(&measurement(t)).expect("step");
-    }
-    assert!(allocations() - before > 0, "the control must allocate");
+    let ((), allocations) = count_allocations(|| {
+        for t in 3..10 {
+            kf.step(&measurement(t)).expect("step");
+        }
+    });
+    assert!(allocations > 0, "the control must allocate");
 }

@@ -91,12 +91,32 @@ static OBS_SERVICE_THREADS: obs::LazyGauge = obs::LazyGauge::new(
 /// Process-wide count of OS threads ever spawned by this crate.
 static SPAWNED_THREADS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Threads this crate spawned on behalf of the current thread.
+    static SPAWNED_HERE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts one spawn, process-wide, per calling thread and in `obs`.
+fn note_spawn() {
+    SPAWNED_THREADS.fetch_add(1, Ordering::Relaxed);
+    SPAWNED_HERE.with(|n| n.set(n.get() + 1));
+    OBS_SPAWNED_THREADS.inc();
+}
+
 /// Total OS threads ever spawned by any [`WorkerPool`] in this process.
 ///
 /// The zero-spawn steady-state guarantee is phrased against this counter:
 /// after a pool is warm, repeated dispatches must leave it unchanged.
 pub fn total_spawned_threads() -> u64 {
     SPAWNED_THREADS.load(Ordering::Relaxed)
+}
+
+/// OS threads this crate spawned from the calling thread (pool workers it
+/// built, services it started). Unlike [`total_spawned_threads`] it does not
+/// see spawns made by other threads, so a spawn count taken by one test is
+/// not moved by tests running in parallel.
+pub fn spawned_by_current_thread() -> u64 {
+    SPAWNED_HERE.with(std::cell::Cell::get)
 }
 
 /// One caught panic from a pooled item.
@@ -271,8 +291,7 @@ impl WorkerPool {
         for i in 0..workers {
             let (tx, rx): (Sender<Arc<Task>>, Receiver<Arc<Task>>) = mpsc::channel();
             senders.push(tx);
-            SPAWNED_THREADS.fetch_add(1, Ordering::Relaxed);
-            OBS_SPAWNED_THREADS.inc();
+            note_spawn();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("kalmmind-exec-{i}"))
@@ -574,8 +593,7 @@ where
 {
     let stop = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&stop);
-    SPAWNED_THREADS.fetch_add(1, Ordering::Relaxed);
-    OBS_SPAWNED_THREADS.inc();
+    note_spawn();
     OBS_SERVICE_THREADS.inc();
     let handle = std::thread::Builder::new()
         .name(format!("kalmmind-svc-{name}"))
@@ -663,13 +681,13 @@ mod tests {
     #[test]
     fn steady_state_dispatches_spawn_no_threads() {
         let pool = WorkerPool::new(4);
-        let spawned = total_spawned_threads();
+        let spawned = spawned_by_current_thread();
         let mut items = vec![0u64; 256];
         for round in 0..50 {
             pool.for_each_mut(&mut items, |item, _| *item += round);
         }
         assert_eq!(
-            total_spawned_threads(),
+            spawned_by_current_thread(),
             spawned,
             "steady state must not spawn"
         );
@@ -713,12 +731,12 @@ mod tests {
 
     #[test]
     fn drop_joins_all_workers() {
-        let spawned = total_spawned_threads();
+        let spawned = spawned_by_current_thread();
         {
             let pool = WorkerPool::new(3);
             pool.for_each_index(10, |_| {});
         } // Drop: channels close, workers drain and join.
-        assert_eq!(total_spawned_threads(), spawned + 2);
+        assert_eq!(spawned_by_current_thread(), spawned + 2);
     }
 
     #[test]
@@ -749,13 +767,13 @@ mod tests {
 
     #[test]
     fn service_spawn_is_counted() {
-        let before = total_spawned_threads();
+        let before = spawned_by_current_thread();
         let svc = spawn_service("noop", |stop| {
             while !stop.load(Ordering::Acquire) {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
         });
-        assert_eq!(total_spawned_threads(), before + 1);
+        assert_eq!(spawned_by_current_thread(), before + 1);
         drop(svc); // drop requests stop and joins
     }
 

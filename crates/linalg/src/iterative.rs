@@ -14,6 +14,7 @@
 //! wide, fully pipelined MAC array, and why it avoids the numerical error of
 //! division-based calculation.
 
+use crate::dense;
 use crate::{norms, LinalgError, Matrix, Result, Scalar};
 
 /// One Newton–Schulz step: `V · (2I − A·V)`.
@@ -106,16 +107,24 @@ pub fn newton_step_into<T: Scalar>(
         });
     }
     let n = a.rows();
-    a.mul_into(v, scratch)?;
+    for buf in [scratch.shape(), out.shape()] {
+        if buf != (n, n) {
+            return Err(LinalgError::DimensionMismatch {
+                left: (n, n),
+                right: buf,
+                op: "mul_into",
+            });
+        }
+    }
     // 2I − A·V, negating in place exactly as `-&av` does element-wise.
-    for x in scratch.as_mut_slice() {
-        *x = -*x;
-    }
-    let two = T::from_f64(2.0);
-    for i in 0..n {
-        scratch[(i, i)] += two;
-    }
-    v.mul_into(scratch, out)
+    dense::newton_step(
+        a.as_slice(),
+        v.as_slice(),
+        scratch.as_mut_slice(),
+        out.as_mut_slice(),
+        n,
+    );
+    Ok(())
 }
 
 /// Runs `iters` Newton–Schulz steps from seed `v0` into pre-allocated
@@ -124,11 +133,11 @@ pub fn newton_step_into<T: Scalar>(
 /// Bit-identical to [`newton_schulz`] with zero heap allocations. `scratch`
 /// and `tmp` are working buffers the same shape as `a`; their contents on
 /// return are unspecified. The iterate ping-pongs between `out` and `tmp`
-/// via `std::mem::swap`, so `out` always holds the newest value.
+/// and always finishes in `out`.
 ///
 /// # Errors
 ///
-/// Same as [`newton_step_into`].
+/// Same as [`newton_step_into`], plus a mis-sized `out`.
 pub fn newton_schulz_into<T: Scalar>(
     a: &Matrix<T>,
     v0: &Matrix<T>,
@@ -137,12 +146,7 @@ pub fn newton_schulz_into<T: Scalar>(
     tmp: &mut Matrix<T>,
     out: &mut Matrix<T>,
 ) -> Result<()> {
-    out.copy_from(v0)?;
-    for _ in 0..iters {
-        newton_step_into(a, out, scratch, tmp)?;
-        std::mem::swap(out, tmp);
-    }
-    Ok(())
+    dense::newton_schulz_into(a, v0, iters, scratch, tmp, out)
 }
 
 /// The classical safe seed `V_0 = A^T / (‖A‖_1 · ‖A‖_∞)`.

@@ -36,6 +36,7 @@ mod vector;
 
 pub mod bits;
 pub mod decomp;
+pub mod dense;
 pub mod iterative;
 pub mod norms;
 pub mod small;

@@ -1,6 +1,7 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
+use crate::dense::Dense;
 use crate::{LinalgError, Result, Scalar, Vector};
 
 /// Row-major dense matrix over a [`Scalar`] element type.
@@ -356,156 +357,7 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] on shape mismatch.
     pub fn copy_from(&mut self, src: &Self) -> Result<()> {
-        if self.shape() != src.shape() {
-            return Err(LinalgError::DimensionMismatch {
-                left: self.shape(),
-                right: src.shape(),
-                op: "copy_from",
-            });
-        }
-        self.data.copy_from_slice(&src.data);
-        Ok(())
-    }
-
-    /// Matrix product `self * rhs` written into a pre-allocated `out`.
-    ///
-    /// Produces bit-identical results to [`Matrix::checked_mul`] (same loop
-    /// order, same zero-skip) with zero heap allocations. `out` must not
-    /// alias either operand (the borrow checker enforces this).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `self.cols() !=
-    /// rhs.rows()` or `out` is not `self.rows() × rhs.cols()`.
-    pub fn mul_into(&self, rhs: &Self, out: &mut Self) -> Result<()> {
-        if self.cols != rhs.rows {
-            return Err(LinalgError::DimensionMismatch {
-                left: (self.rows, self.cols),
-                right: (rhs.rows, rhs.cols),
-                op: "mul",
-            });
-        }
-        if out.shape() != (self.rows, rhs.cols) {
-            return Err(LinalgError::DimensionMismatch {
-                left: (self.rows, rhs.cols),
-                right: out.shape(),
-                op: "mul_into",
-            });
-        }
-        out.data.fill(T::ZERO);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(r, k)];
-                if a == T::ZERO {
-                    continue;
-                }
-                for c in 0..rhs.cols {
-                    out[(r, c)] += a * rhs[(k, c)];
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Element-wise in-place sum `self += rhs`.
-    ///
-    /// Bit-identical to [`Matrix::checked_add`], without the allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] on shape mismatch.
-    #[allow(clippy::should_implement_trait)]
-    pub fn add_assign(&mut self, rhs: &Self) -> Result<()> {
-        if self.shape() != rhs.shape() {
-            return Err(LinalgError::DimensionMismatch {
-                left: self.shape(),
-                right: rhs.shape(),
-                op: "add",
-            });
-        }
-        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += b;
-        }
-        Ok(())
-    }
-
-    /// Element-wise in-place difference `self -= rhs`.
-    ///
-    /// Bit-identical to [`Matrix::checked_sub`], without the allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] on shape mismatch.
-    #[allow(clippy::should_implement_trait)]
-    pub fn sub_assign(&mut self, rhs: &Self) -> Result<()> {
-        if self.shape() != rhs.shape() {
-            return Err(LinalgError::DimensionMismatch {
-                left: self.shape(),
-                right: rhs.shape(),
-                op: "sub",
-            });
-        }
-        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
-            *a -= b;
-        }
-        Ok(())
-    }
-
-    /// Transpose written into a pre-allocated `out`.
-    ///
-    /// Bit-identical to [`Matrix::transpose`], without the allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `out` is not
-    /// `self.cols() × self.rows()`.
-    pub fn transpose_into(&self, out: &mut Self) -> Result<()> {
-        if out.shape() != (self.cols, self.rows) {
-            return Err(LinalgError::DimensionMismatch {
-                left: (self.cols, self.rows),
-                right: out.shape(),
-                op: "transpose_into",
-            });
-        }
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out[(c, r)] = self[(r, c)];
-            }
-        }
-        Ok(())
-    }
-
-    /// Matrix-vector product `self * v` written into a pre-allocated `out`.
-    ///
-    /// Bit-identical to [`Matrix::mul_vector`], without the allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `v.len() !=
-    /// self.cols()` or `out.len() != self.rows()`.
-    pub fn mul_vector_into(&self, v: &Vector<T>, out: &mut Vector<T>) -> Result<()> {
-        if v.len() != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                left: (self.rows, self.cols),
-                right: (v.len(), 1),
-                op: "mul_vector",
-            });
-        }
-        if out.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch {
-                left: (self.rows, 1),
-                right: (out.len(), 1),
-                op: "mul_vector_into",
-            });
-        }
-        for r in 0..self.rows {
-            let mut acc = T::ZERO;
-            for c in 0..self.cols {
-                acc += self[(r, c)] * v[c];
-            }
-            out[r] = acc;
-        }
-        Ok(())
+        Dense::copy_from(self, src)
     }
 
     /// Symmetrizes a square matrix in place: `A <- (A + A^T) / 2`.
@@ -518,15 +370,7 @@ impl<T: Scalar> Matrix<T> {
     ///
     /// Panics if the matrix is not square.
     pub fn symmetrize(&mut self) {
-        assert!(self.is_square(), "symmetrize requires a square matrix");
-        let half = T::from_f64(0.5);
-        for r in 0..self.rows {
-            for c in (r + 1)..self.cols {
-                let avg = (self[(r, c)] + self[(c, r)]) * half;
-                self[(r, c)] = avg;
-                self[(c, r)] = avg;
-            }
-        }
+        Dense::symmetrize(self)
     }
 
     /// Largest absolute element difference against `other`.
@@ -551,7 +395,7 @@ impl<T: Scalar> Matrix<T> {
 
     /// `true` when every element is finite (always `true` for fixed-point).
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
+        Dense::all_finite(self)
     }
 
     /// Iterator over elements in row-major order.

@@ -5,6 +5,7 @@
 //! (exactly for small matrices via power iteration, or cheaply via the
 //! Frobenius upper bound).
 
+use crate::dense::Dense;
 use crate::{Matrix, Scalar};
 
 /// Frobenius norm `sqrt(sum a_ij^2)`, computed in `f64`.
@@ -25,16 +26,12 @@ pub fn frobenius<T: Scalar>(a: &Matrix<T>) -> f64 {
 
 /// Infinity norm (maximum absolute row sum), computed in `f64`.
 pub fn inf_norm<T: Scalar>(a: &Matrix<T>) -> f64 {
-    (0..a.rows())
-        .map(|r| a.row(r).iter().map(|x| x.to_f64().abs()).sum::<f64>())
-        .fold(0.0, f64::max)
+    Dense::inf_norm(a)
 }
 
 /// One norm (maximum absolute column sum), computed in `f64`.
 pub fn one_norm<T: Scalar>(a: &Matrix<T>) -> f64 {
-    (0..a.cols())
-        .map(|c| (0..a.rows()).map(|r| a[(r, c)].to_f64().abs()).sum::<f64>())
-        .fold(0.0, f64::max)
+    Dense::one_norm(a)
 }
 
 /// Largest absolute element.

@@ -1,38 +1,30 @@
-//! Stack-allocated const-generic matrices for the monomorphized KF hot path.
+//! Stack-allocated const-generic matrices: the monomorphized storage layout.
 //!
-//! [`SmallMatrix`] and [`SmallVector`] carry their dimensions in the type, so
-//! every kernel below compiles to straight-line code with compile-time trip
-//! counts — no runtime dimension checks, no heap indirection, and loops the
-//! optimizer can fully unroll and vectorize. They exist for the paper's fixed
-//! model shapes (`x = 6`, `z ∈ {46, 52, 164}` plus the 2-state bench model),
-//! where the dynamic [`Matrix`] path pays per-call shape
-//! validation and bounds checks it can never fail.
-//!
-//! **Bit-identity contract.** Every kernel here replicates, floating-point
-//! operation for floating-point operation, the loop order of its dynamic
-//! twin in [`matrix`](crate::Matrix) / [`iterative`](crate::iterative): the
-//! `mul_into` zero-skip (which matters for NaN/∞ propagation, since
-//! `0 × ∞ = NaN`), the `(a + b) × 0.5` symmetrization, the negate-then-add-2
-//! Newton step, and the f64 norm accumulation order of `safe_seed`. A filter
-//! stepped through these kernels therefore produces the same bits as one
-//! stepped through the dynamic workspace path — the property the runtime's
-//! golden-bit tests pin down.
+//! [`SmallMatrix`] and [`SmallVector`] carry their dimensions in the type.
+//! They are a second *layout* of the same row-major data as [`Matrix`] and
+//! [`Vector`], not a second set of kernels: their operations are the
+//! [`Dense`] kernels, whose one loop body runs here with the const
+//! dimensions as trip counts and with every shape check comparing
+//! constants — so there is no runtime check or heap indirection, and the
+//! results are the dynamic kernels' bits by construction.
 //!
 //! # Example
 //!
 //! ```
+//! use kalmmind_linalg::dense::Dense;
 //! use kalmmind_linalg::small::{SmallMatrix, SmallVector};
 //!
 //! let a = SmallMatrix::<f64, 2, 2>::from_rows([[1.0, 2.0], [3.0, 4.0]]);
 //! let v = SmallVector::from_array([1.0, 1.0]);
-//! let mut out = SmallVector::zeros();
-//! a.mul_vector_into(&v, &mut out);
+//! let mut out = SmallVector::<f64, 2>::zeros();
+//! a.mul_vector_into(&v, &mut out).unwrap();
 //! assert_eq!(out.as_slice(), &[3.0, 7.0]);
 //! ```
 
 use std::ops::{Index, IndexMut};
 
-use crate::{LinalgError, Matrix, Result, Scalar, Vector};
+use crate::dense::Dense;
+use crate::{Matrix, Scalar, Vector};
 
 /// Fixed-length column vector with its dimension in the type.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,72 +43,27 @@ impl<T: Scalar, const N: usize> SmallVector<T, N> {
         Self { data }
     }
 
-    /// Number of elements (the const parameter `N`).
-    pub fn len(&self) -> usize {
-        N
-    }
-
-    /// `true` when `N == 0`.
-    pub fn is_empty(&self) -> bool {
-        N == 0
-    }
-
-    /// Borrow of the underlying storage.
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Mutable borrow of the underlying storage.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Copies every element of `src` into `self`.
-    pub fn copy_from(&mut self, src: &Self) {
-        self.data = src.data;
-    }
-
-    /// Copies a dynamic [`Vector`] into `self`.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::DimensionMismatch`] when `src.len() != N`.
-    pub fn copy_from_vector(&mut self, src: &Vector<T>) -> Result<()> {
-        if src.len() != N {
-            return Err(LinalgError::DimensionMismatch {
-                left: (N, 1),
-                right: (src.len(), 1),
-                op: "copy_from",
-            });
-        }
-        self.data.copy_from_slice(src.as_slice());
-        Ok(())
-    }
-
     /// Converts to a dynamic [`Vector`] (exact element copy, no arithmetic).
     pub fn to_vector(&self) -> Vector<T> {
         Vector::from_slice(&self.data)
     }
+}
 
-    /// Element-wise in-place sum `self += other`, in index order — the same
-    /// op sequence as [`Vector::add_assign`].
-    pub fn add_assign(&mut self, other: &Self) {
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
+impl<T: Scalar, const N: usize> Dense<T> for SmallVector<T, N> {
+    fn shape(&self) -> (usize, usize) {
+        (N, 1)
     }
 
-    /// Element-wise in-place difference `self -= other`, in index order —
-    /// the same op sequence as [`Vector::sub_assign`].
-    pub fn sub_assign(&mut self, other: &Self) {
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a -= b;
-        }
+    fn as_slice(&self) -> &[T] {
+        &self.data
     }
 
-    /// `true` when every element is finite.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
+    fn as_mut_slice(&mut self) -> &mut [T] {
+        &mut self.data
+    }
+
+    fn zeroed(_rows: usize, _cols: usize) -> Self {
+        Self::zeros()
     }
 }
 
@@ -152,153 +99,14 @@ impl<T: Scalar, const R: usize, const C: usize> SmallMatrix<T, R, C> {
         }
     }
 
-    /// Creates a zero matrix directly on the heap.
-    ///
-    /// Convenience for the large `z × z` buffers of the monomorphized
-    /// session (a `164 × 164` f64 matrix is ~215 KiB — fine boxed, unwise
-    /// to keep several inline in one struct).
-    pub fn boxed_zeros() -> Box<Self> {
-        Box::new(Self::zeros())
-    }
-
     /// Wraps owned row-major data.
     pub fn from_rows(data: [[T; C]; R]) -> Self {
         Self { data }
     }
 
-    /// Number of rows (the const parameter `R`).
-    pub fn rows(&self) -> usize {
-        R
-    }
-
-    /// Number of columns (the const parameter `C`).
-    pub fn cols(&self) -> usize {
-        C
-    }
-
-    /// Shape as `(rows, cols)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (R, C)
-    }
-
-    /// Copies every element of `src` into `self`.
-    pub fn copy_from(&mut self, src: &Self) {
-        self.data = src.data;
-    }
-
-    /// Copies a dynamic [`Matrix`] into `self` (exact element copy).
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::DimensionMismatch`] when shapes disagree.
-    pub fn copy_from_matrix(&mut self, src: &Matrix<T>) -> Result<()> {
-        if src.shape() != (R, C) {
-            return Err(LinalgError::DimensionMismatch {
-                left: (R, C),
-                right: src.shape(),
-                op: "copy_from",
-            });
-        }
-        for r in 0..R {
-            for c in 0..C {
-                self.data[r][c] = src[(r, c)];
-            }
-        }
-        Ok(())
-    }
-
     /// Converts to a dynamic [`Matrix`] (exact element copy, no arithmetic).
     pub fn to_matrix(&self) -> Matrix<T> {
         Matrix::from_fn(R, C, |r, c| self.data[r][c])
-    }
-
-    /// `self × rhs → out`, replicating [`Matrix::mul_into`] exactly:
-    /// zero-fill, then row/inner/column loops with the zero-skip on the
-    /// left operand (semantically load-bearing for NaN/∞ inputs).
-    pub fn mul_into<const K: usize>(
-        &self,
-        rhs: &SmallMatrix<T, C, K>,
-        out: &mut SmallMatrix<T, R, K>,
-    ) {
-        for row in out.data.iter_mut() {
-            for x in row.iter_mut() {
-                *x = T::ZERO;
-            }
-        }
-        for r in 0..R {
-            for k in 0..C {
-                let a = self.data[r][k];
-                if a == T::ZERO {
-                    continue;
-                }
-                for c in 0..K {
-                    out.data[r][c] += a * rhs.data[k][c];
-                }
-            }
-        }
-    }
-
-    /// `self × v → out`, replicating [`Matrix::mul_vector_into`]: one
-    /// accumulator per row, columns in order.
-    pub fn mul_vector_into(&self, v: &SmallVector<T, C>, out: &mut SmallVector<T, R>) {
-        for r in 0..R {
-            let mut acc = T::ZERO;
-            for c in 0..C {
-                acc += self.data[r][c] * v.data[c];
-            }
-            out.data[r] = acc;
-        }
-    }
-
-    /// Transpose into `out`, in the row-major read order of
-    /// [`Matrix::transpose_into`].
-    pub fn transpose_into(&self, out: &mut SmallMatrix<T, C, R>) {
-        for r in 0..R {
-            for c in 0..C {
-                out.data[c][r] = self.data[r][c];
-            }
-        }
-    }
-
-    /// Element-wise in-place sum `self += rhs`, in row-major order — the
-    /// same op sequence as [`Matrix::add_assign`].
-    pub fn add_assign(&mut self, rhs: &Self) {
-        for (row, other) in self.data.iter_mut().zip(&rhs.data) {
-            for (a, &b) in row.iter_mut().zip(other) {
-                *a += b;
-            }
-        }
-    }
-
-    /// Element-wise in-place difference `self -= rhs`, in row-major order.
-    pub fn sub_assign(&mut self, rhs: &Self) {
-        for (row, other) in self.data.iter_mut().zip(&rhs.data) {
-            for (a, &b) in row.iter_mut().zip(other) {
-                *a -= b;
-            }
-        }
-    }
-
-    /// `true` when every element is finite.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().flatten().all(|x| x.is_finite())
-    }
-
-    /// Infinity norm (max absolute row sum) in `f64`, accumulating in the
-    /// same left-to-right order as [`norms::inf_norm`](crate::norms::inf_norm).
-    pub fn inf_norm(&self) -> f64 {
-        self.data
-            .iter()
-            .map(|row| row.iter().map(|x| x.to_f64().abs()).sum::<f64>())
-            .fold(0.0, f64::max)
-    }
-
-    /// One norm (max absolute column sum) in `f64`, accumulating rows in
-    /// order like [`norms::one_norm`](crate::norms::one_norm).
-    pub fn one_norm(&self) -> f64 {
-        (0..C)
-            .map(|c| (0..R).map(|r| self.data[r][c].to_f64().abs()).sum::<f64>())
-            .fold(0.0, f64::max)
     }
 }
 
@@ -311,39 +119,23 @@ impl<T: Scalar, const N: usize> SmallMatrix<T, N, N> {
         }
         m
     }
+}
 
-    /// Averages the off-diagonal pairs exactly like [`Matrix::symmetrize`]:
-    /// `(a + b) × 0.5` with `0.5` converted through [`Scalar::from_f64`].
-    pub fn symmetrize(&mut self) {
-        let half = T::from_f64(0.5);
-        for r in 0..N {
-            for c in (r + 1)..N {
-                let avg = (self.data[r][c] + self.data[c][r]) * half;
-                self.data[r][c] = avg;
-                self.data[c][r] = avg;
-            }
-        }
+impl<T: Scalar, const R: usize, const C: usize> Dense<T> for SmallMatrix<T, R, C> {
+    fn shape(&self) -> (usize, usize) {
+        (R, C)
     }
 
-    /// Writes the certified Newton seed `V₀ = Aᵀ / (‖A‖₁·‖A‖_∞)` into `out`,
-    /// replicating [`iterative::safe_seed`](crate::iterative::safe_seed):
-    /// norms accumulate in `f64`, and each element is divided in `f64` and
-    /// converted back through [`Scalar::from_f64`].
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::Singular`] when the matrix is all zero.
-    pub fn safe_seed_into(&self, out: &mut Self) -> Result<()> {
-        let denom = self.one_norm() * self.inf_norm();
-        if denom == 0.0 {
-            return Err(LinalgError::Singular { pivot: 0 });
-        }
-        for r in 0..N {
-            for c in 0..N {
-                out.data[r][c] = T::from_f64(self.data[c][r].to_f64() / denom);
-            }
-        }
-        Ok(())
+    fn as_slice(&self) -> &[T] {
+        self.data.as_flattened()
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [T] {
+        self.data.as_flattened_mut()
+    }
+
+    fn zeroed(_rows: usize, _cols: usize) -> Self {
+        Self::zeros()
     }
 }
 
@@ -361,52 +153,10 @@ impl<T, const R: usize, const C: usize> IndexMut<(usize, usize)> for SmallMatrix
     }
 }
 
-/// One Newton–Schulz refinement `out = V·(2I − A·V)`, replicating
-/// [`iterative::newton_step_into`](crate::iterative::newton_step_into): the
-/// product is negated element-wise in row-major order, `2` (converted via
-/// [`Scalar::from_f64`]) is added on the diagonal, then `V` multiplies the
-/// result.
-pub fn newton_step_into<T: Scalar, const N: usize>(
-    a: &SmallMatrix<T, N, N>,
-    v: &SmallMatrix<T, N, N>,
-    scratch: &mut SmallMatrix<T, N, N>,
-    out: &mut SmallMatrix<T, N, N>,
-) {
-    a.mul_into(v, scratch);
-    for row in scratch.data.iter_mut() {
-        for x in row.iter_mut() {
-            *x = -*x;
-        }
-    }
-    let two = T::from_f64(2.0);
-    for i in 0..N {
-        scratch.data[i][i] += two;
-    }
-    v.mul_into(scratch, out);
-}
-
-/// `iters` Newton–Schulz refinements starting from `v0`, replicating
-/// [`iterative::newton_schulz_into`](crate::iterative::newton_schulz_into)
-/// including its ping-pong buffer swap.
-pub fn newton_schulz_into<T: Scalar, const N: usize>(
-    a: &SmallMatrix<T, N, N>,
-    v0: &SmallMatrix<T, N, N>,
-    iters: usize,
-    scratch: &mut SmallMatrix<T, N, N>,
-    tmp: &mut SmallMatrix<T, N, N>,
-    out: &mut SmallMatrix<T, N, N>,
-) {
-    out.copy_from(v0);
-    for _ in 0..iters {
-        newton_step_into(a, out, scratch, tmp);
-        std::mem::swap(out, tmp);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{iterative, norms};
+    use crate::{dense, iterative, norms, LinalgError};
 
     fn dyn_of<const R: usize, const C: usize>(m: &SmallMatrix<f64, R, C>) -> Matrix<f64> {
         m.to_matrix()
@@ -431,7 +181,7 @@ mod tests {
         let a = sm3(0.3);
         let b = sm3(1.7);
         let mut out = SmallMatrix::<f64, 3, 3>::zeros();
-        a.mul_into(&b, &mut out);
+        a.mul_into(&b, &mut out).unwrap();
         let mut dyn_out = Matrix::zeros(3, 3);
         dyn_of(&a).mul_into(&dyn_of(&b), &mut dyn_out).unwrap();
         for r in 0..3 {
@@ -449,8 +199,8 @@ mod tests {
         a[(1, 1)] = 1.0;
         let mut b = SmallMatrix::<f64, 2, 2>::identity();
         b[(0, 0)] = f64::INFINITY;
-        let mut out = SmallMatrix::zeros();
-        a.mul_into(&b, &mut out);
+        let mut out = SmallMatrix::<f64, 2, 2>::zeros();
+        a.mul_into(&b, &mut out).unwrap();
         let mut dyn_out = Matrix::zeros(2, 2);
         dyn_of(&a).mul_into(&dyn_of(&b), &mut dyn_out).unwrap();
         for r in 0..2 {
@@ -477,14 +227,14 @@ mod tests {
     #[test]
     fn newton_schulz_matches_dynamic_bits() {
         let a = sm3(0.5);
-        let mut seed = SmallMatrix::zeros();
+        let mut seed = SmallMatrix::<f64, 3, 3>::zeros();
         a.safe_seed_into(&mut seed).unwrap();
         let (mut scratch, mut tmp, mut out) = (
             SmallMatrix::zeros(),
             SmallMatrix::zeros(),
             SmallMatrix::zeros(),
         );
-        newton_schulz_into(&a, &seed, 4, &mut scratch, &mut tmp, &mut out);
+        dense::newton_schulz_into(&a, &seed, 4, &mut scratch, &mut tmp, &mut out).unwrap();
 
         let da = dyn_of(&a);
         let dseed = iterative::safe_seed(&da).unwrap();
@@ -520,18 +270,18 @@ mod tests {
         let a = sm3(1.1);
         let b = sm3(0.2);
         let mut t = SmallMatrix::<f64, 3, 3>::zeros();
-        a.transpose_into(&mut t);
+        a.transpose_into(&mut t).unwrap();
         assert_eq!(dyn_of(&t), dyn_of(&a).transpose());
 
         let mut sum = a;
-        sum.add_assign(&b);
+        sum.add_assign(&b).unwrap();
         let mut dsum = dyn_of(&a);
         dsum.add_assign(&dyn_of(&b)).unwrap();
         assert_eq!(dyn_of(&sum), dsum);
 
         let v = SmallVector::from_array([1.0, -2.0, 0.5]);
-        let mut out = SmallVector::zeros();
-        a.mul_vector_into(&v, &mut out);
+        let mut out = SmallVector::<f64, 3>::zeros();
+        a.mul_vector_into(&v, &mut out).unwrap();
         let dv = a.to_matrix().mul_vector(&v.to_vector()).unwrap();
         assert_eq!(out.to_vector(), dv);
     }
@@ -539,7 +289,7 @@ mod tests {
     #[test]
     fn safe_seed_rejects_zero_matrix() {
         let z = SmallMatrix::<f64, 3, 3>::zeros();
-        let mut out = SmallMatrix::zeros();
+        let mut out = SmallMatrix::<f64, 3, 3>::zeros();
         assert_eq!(
             z.safe_seed_into(&mut out).unwrap_err(),
             LinalgError::Singular { pivot: 0 }
@@ -550,14 +300,14 @@ mod tests {
     fn conversions_round_trip() {
         let a = sm3(0.7);
         let mut back = SmallMatrix::<f64, 3, 3>::zeros();
-        back.copy_from_matrix(&a.to_matrix()).unwrap();
+        back.copy_from(&a.to_matrix()).unwrap();
         assert_eq!(a, back);
-        assert!(back.copy_from_matrix(&Matrix::zeros(2, 2)).is_err());
+        assert!(back.copy_from(&Matrix::zeros(2, 2)).is_err());
 
         let v = SmallVector::from_array([1.0, 2.0, 3.0]);
         let mut vb = SmallVector::<f64, 3>::zeros();
-        vb.copy_from_vector(&v.to_vector()).unwrap();
+        vb.copy_from(&v.to_vector()).unwrap();
         assert_eq!(v, vb);
-        assert!(vb.copy_from_vector(&Vector::zeros(2)).is_err());
+        assert!(vb.copy_from(&Vector::zeros(2)).is_err());
     }
 }

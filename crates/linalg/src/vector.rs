@@ -1,6 +1,7 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Neg, Sub};
 
+use crate::dense::Dense;
 use crate::{LinalgError, Result, Scalar};
 
 /// Dense column vector over a [`Scalar`] element type.
@@ -157,59 +158,7 @@ impl<T: Scalar> Vector<T> {
     ///
     /// Returns [`LinalgError::DimensionMismatch`] when lengths differ.
     pub fn copy_from(&mut self, src: &Self) -> Result<()> {
-        if self.len() != src.len() {
-            return Err(LinalgError::DimensionMismatch {
-                left: (self.len(), 1),
-                right: (src.len(), 1),
-                op: "copy_from",
-            });
-        }
-        self.data.copy_from_slice(&src.data);
-        Ok(())
-    }
-
-    /// Element-wise in-place sum `self += other`.
-    ///
-    /// Bit-identical to [`Vector::checked_add`], without the allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when lengths differ.
-    #[allow(clippy::should_implement_trait)]
-    pub fn add_assign(&mut self, other: &Self) -> Result<()> {
-        if self.len() != other.len() {
-            return Err(LinalgError::DimensionMismatch {
-                left: (self.len(), 1),
-                right: (other.len(), 1),
-                op: "add",
-            });
-        }
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-        Ok(())
-    }
-
-    /// Element-wise in-place difference `self -= other`.
-    ///
-    /// Bit-identical to [`Vector::checked_sub`], without the allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when lengths differ.
-    #[allow(clippy::should_implement_trait)]
-    pub fn sub_assign(&mut self, other: &Self) -> Result<()> {
-        if self.len() != other.len() {
-            return Err(LinalgError::DimensionMismatch {
-                left: (self.len(), 1),
-                right: (other.len(), 1),
-                op: "sub",
-            });
-        }
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a -= b;
-        }
-        Ok(())
+        Dense::copy_from(self, src)
     }
 
     /// Euclidean norm, computed in `f64`.
@@ -245,7 +194,7 @@ impl<T: Scalar> Vector<T> {
 
     /// `true` when every element is finite.
     pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
+        Dense::all_finite(self)
     }
 }
 

@@ -5,6 +5,7 @@
 //! innovation covariance `S` — and assert the algebraic invariants every
 //! inversion method must satisfy.
 
+use kalmmind_linalg::dense::Dense;
 use kalmmind_linalg::{decomp, iterative, norms, Matrix, Vector};
 use proptest::prelude::*;
 

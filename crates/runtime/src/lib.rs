@@ -449,7 +449,7 @@ impl BankReport {
 /// next to the matrix work behind it (the homogeneous-`f64` path is proved
 /// bit-identical to the concrete filter in this crate's golden-bit tests).
 ///
-/// **Storage.** Sessions live in a generational-slab [`store::SessionStore`]:
+/// **Storage.** Sessions live in a generational-slab session store:
 /// monomorphized `f64` sessions are stored *inline* in typed arena pools
 /// (one per [`kalmmind::small::MONO_SHAPES`] shape, stepping through
 /// per-thread shared scratch buffers), every other backend stays boxed in
@@ -639,15 +639,10 @@ impl FilterBank {
         self.store.len() == 0
     }
 
-    /// Number of sessions still active.
+    /// Number of sessions still active (O(1): the store keeps the count
+    /// of failed sessions).
     pub fn active_count(&self) -> usize {
-        let mut active = 0;
-        self.store.for_each(|meta, _| {
-            if meta.status.is_active() {
-                active += 1;
-            }
-        });
-        active
+        self.store.len() - self.store.failed()
     }
 
     /// Where the bank's sessions are stored, by pool: inline typed mono
@@ -961,7 +956,7 @@ impl FilterBank {
     /// freshness matches the dense path.
     fn dispatch_sparse(&mut self, batch: &[(SessionId, &[f64])]) -> BankReport {
         let sessions = self.store.len();
-        let before = self.routed_steps_ok();
+        let before = self.routed_tally();
         let start = Instant::now();
         let bases = self.store.pool_bases_mut();
         let route_buf = &self.route_buf;
@@ -990,7 +985,7 @@ impl FilterBank {
                 park_panicked(meta, backend, &p.message);
             }
         }
-        let steps = self.routed_steps_ok() - before;
+        let steps = self.settle_routed(before);
         // Only a slot touched this batch can have newly become condemned —
         // parked failed *or* health-diverged, the same predicate the policy
         // scan applies (previous dispatches already evicted their own
@@ -1010,13 +1005,27 @@ impl FilterBank {
         self.finish_batch(sessions, steps, elapsed, evicted, &scope)
     }
 
-    /// Sum of `steps_ok` over the currently routed handles (the
-    /// before/after pair around a dispatch yields the batch's step count).
-    fn routed_steps_ok(&self) -> usize {
+    /// `(steps_ok sum, failed count)` over the currently routed handles —
+    /// O(batch), taken before and after a dispatch.
+    fn routed_tally(&self) -> (usize, usize) {
         self.route_buf
             .iter()
-            .map(|&handle| self.store.meta(handle).map_or(0, |meta| meta.steps_ok))
-            .sum()
+            .filter_map(|&handle| self.store.meta(handle))
+            .fold((0, 0), |(steps, failed), meta| {
+                (
+                    steps + meta.steps_ok,
+                    failed + usize::from(!meta.status.is_active()),
+                )
+            })
+    }
+
+    /// Closes a dispatch that started at tally `before`: records the
+    /// sessions it failed in the store's count (before any eviction removes
+    /// them) and returns its step count.
+    fn settle_routed(&mut self, before: (usize, usize)) -> usize {
+        let (steps, failed) = self.routed_tally();
+        self.store.note_failed(failed - before.1);
+        steps - before.0
     }
 
     /// Shared tail of both dispatch paths: batch-level obs instruments,
@@ -1033,11 +1042,10 @@ impl FilterBank {
         OBS_BATCHES.inc();
         OBS_BATCH_SECONDS.observe_duration(elapsed);
         OBS_BANK_STEPS.add(steps as u64);
-        let active = self.active_count();
         BankReport {
             sessions,
-            active_sessions: active,
-            failed_sessions: self.store.len() - active,
+            active_sessions: self.active_count(),
+            failed_sessions: self.store.failed(),
             steps,
             elapsed,
             evicted,
@@ -1118,7 +1126,7 @@ impl FilterBank {
     /// report is assembled as usual.
     fn dispatch_run(&mut self, sequences: &[(SessionId, Vec<Vec<f64>>)]) -> BankReport {
         let sessions = self.store.len();
-        let before = self.routed_steps_ok();
+        let before = self.routed_tally();
         let start = Instant::now();
         let epoch = self.epoch;
         let bases = self.store.pool_bases_mut();
@@ -1154,7 +1162,7 @@ impl FilterBank {
         }
         // Count steps before eviction removes any slot, so a session that
         // stepped this batch and was then evicted is not undercounted.
-        let steps = self.routed_steps_ok() - before;
+        let steps = self.settle_routed(before);
         let evicted = self.apply_eviction_policy();
         self.finish_batch(sessions, steps, elapsed, evicted, &scope)
     }
@@ -1401,6 +1409,53 @@ mod tests {
             }
             other => panic!("expected Failed, got {other:?}"),
         }
+    }
+
+    /// The failed-session count the O(1) `active_count` reads must always
+    /// equal a full scan of the slot statuses.
+    fn assert_failed_count_matches_scan(bank: &FilterBank, after: &str) {
+        let mut scanned = 0;
+        bank.store
+            .for_each(|meta, _| scanned += usize::from(!meta.status.is_active()));
+        assert_eq!(bank.store.failed(), scanned, "after {after}");
+        assert_eq!(bank.active_count(), bank.len() - scanned, "after {after}");
+    }
+
+    #[test]
+    fn failed_count_tracks_every_lifecycle_operation() {
+        let mut bank = FilterBank::new();
+        let ids: Vec<_> = (0..5).map(|_| bank.insert_filter(filter())).collect();
+        assert_failed_count_matches_scan(&bank, "seat");
+        let (z, short) = (measurement(0), vec![1.0]);
+        let report = bank
+            .step_batch(&[
+                (ids[0], z.as_slice()),
+                (ids[1], short.as_slice()),
+                (ids[2], short.as_slice()),
+            ])
+            .unwrap();
+        assert_eq!(report.failed_sessions, 2);
+        assert_failed_count_matches_scan(&bank, "step_batch");
+        // Re-routing a parked session does not count it twice.
+        bank.step_batch(&[(ids[1], z.as_slice())]).unwrap();
+        assert_failed_count_matches_scan(&bank, "re-routed failure");
+        let snapshot = bank.snapshot_session(ids[2]).unwrap();
+        bank.remove(ids[2]).unwrap();
+        assert_failed_count_matches_scan(&bank, "remove of a failed session");
+        bank.remove(ids[3]).unwrap();
+        assert_failed_count_matches_scan(&bank, "remove of an active session");
+        bank.restore_session(&snapshot).unwrap();
+        assert_failed_count_matches_scan(&bank, "restore");
+        bank.run(&lockstep(&[ids[0], ids[4]], std::slice::from_ref(&short)))
+            .unwrap();
+        assert_failed_count_matches_scan(&bank, "run");
+        bank.set_eviction_policy(EvictionPolicy::EvictOnDiverge);
+        let report = bank.step_batch(&[(ids[2], short.as_slice())]).unwrap();
+        assert!(!report.evicted.is_empty());
+        assert_failed_count_matches_scan(&bank, "evict");
+        bank.drain();
+        assert_failed_count_matches_scan(&bank, "drain");
+        assert_eq!(bank.active_count(), 0);
     }
 
     #[test]

@@ -54,14 +54,12 @@ const PAGE_SIZE: usize = 1 << PAGE_BITS;
 /// never zero (zero is the index's vacant marker).
 const GEN_MASK: u32 = (1 << 27) - 1;
 
-/// Pool discriminants, in scan order. 0–3 are the typed mono pools in
-/// [`MONO_SHAPES`](kalmmind::small::MONO_SHAPES) order; 4 is overflow.
-pub(crate) const POOL_COUNT: usize = 5;
+/// Pool discriminants, in scan order. 0–1 are the typed mono pools in
+/// [`MONO_SHAPES`](kalmmind::small::MONO_SHAPES) order; 2 is overflow.
+pub(crate) const POOL_COUNT: usize = 3;
 const POOL_2X3: u8 = 0;
 const POOL_6X46: u8 = 1;
-const POOL_6X52: u8 = 2;
-const POOL_6X164: u8 = 3;
-const POOL_OVERFLOW: u8 = 4;
+const POOL_OVERFLOW: u8 = 2;
 
 /// Advances a slot generation on reuse, wrapping within the 27-bit field
 /// and skipping 0 (so packed handles stay non-zero).
@@ -82,7 +80,7 @@ fn next_generation(generation: u32) -> u32 {
 /// remove degrades to "not found", never to another session's data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Handle {
-    /// Pool discriminant (`0..=4`).
+    /// Pool discriminant (`0..POOL_COUNT`).
     pub(crate) pool: u8,
     /// Slot index inside the pool.
     pub(crate) index: u32,
@@ -180,12 +178,7 @@ macro_rules! stored_inline {
     )+};
 }
 
-stored_inline!(
-    SmallSessionCore<f64, 2, 3>,
-    SmallSessionCore<f64, 6, 46>,
-    SmallSessionCore<f64, 6, 52>,
-    SmallSessionCore<f64, 6, 164>,
-);
+stored_inline!(SmallSessionCore<f64, 2, 3>, SmallSessionCore<f64, 6, 46>);
 
 impl StoredBackend for Box<dyn SessionBackend> {
     fn as_backend(&self) -> &dyn SessionBackend {
@@ -380,10 +373,6 @@ pub struct StoreCensus {
     pub mono_2x3: usize,
     /// Sessions inline in the `f64` 6×46 pool.
     pub mono_6x46: usize,
-    /// Sessions inline in the `f64` 6×52 pool.
-    pub mono_6x52: usize,
-    /// Sessions inline in the `f64` 6×164 pool.
-    pub mono_6x164: usize,
     /// Boxed sessions in the overflow pool (dynamic shapes, non-`f64`
     /// scalars, accel models).
     pub overflow: usize,
@@ -398,7 +387,7 @@ pub struct StoreCensus {
 impl StoreCensus {
     /// Total sessions inline in typed mono pools.
     pub fn mono(&self) -> usize {
-        self.mono_2x3 + self.mono_6x46 + self.mono_6x52 + self.mono_6x164
+        self.mono_2x3 + self.mono_6x46
     }
 
     /// Total sessions across all pools.
@@ -440,8 +429,6 @@ pub(crate) unsafe fn with_slot_raw<R>(
     match pool {
         POOL_2X3 => touch!(SmallSessionCore<f64, 2, 3>),
         POOL_6X46 => touch!(SmallSessionCore<f64, 6, 46>),
-        POOL_6X52 => touch!(SmallSessionCore<f64, 6, 52>),
-        POOL_6X164 => touch!(SmallSessionCore<f64, 6, 164>),
         _ => touch!(Box<dyn SessionBackend>),
     }
 }
@@ -456,14 +443,6 @@ macro_rules! with_pool {
             }
             POOL_6X46 => {
                 let $p = &$store.p6x46;
-                $body
-            }
-            POOL_6X52 => {
-                let $p = &$store.p6x52;
-                $body
-            }
-            POOL_6X164 => {
-                let $p = &$store.p6x164;
                 $body
             }
             _ => {
@@ -486,14 +465,6 @@ macro_rules! with_pool_mut {
                 let $p = &mut $store.p6x46;
                 $body
             }
-            POOL_6X52 => {
-                let $p = &mut $store.p6x52;
-                $body
-            }
-            POOL_6X164 => {
-                let $p = &mut $store.p6x164;
-                $body
-            }
             _ => {
                 let $p = &mut $store.overflow;
                 $body
@@ -514,32 +485,26 @@ macro_rules! each_pool {
             $body
         }
         {
-            let $p = &$store.p6x52;
-            $body
-        }
-        {
-            let $p = &$store.p6x164;
-            $body
-        }
-        {
             let $p = &$store.overflow;
             $body
         }
     }};
 }
 
-/// The session storage layer: four typed mono arenas + one boxed overflow
+/// The session storage layer: two typed mono arenas + one boxed overflow
 /// arena, fronted by the paged id index. See the module docs for the
 /// layout story.
 #[derive(Debug)]
 pub(crate) struct SessionStore {
     p2x3: Pool<SmallSessionCore<f64, 2, 3>>,
     p6x46: Pool<SmallSessionCore<f64, 6, 46>>,
-    p6x52: Pool<SmallSessionCore<f64, 6, 52>>,
-    p6x164: Pool<SmallSessionCore<f64, 6, 164>>,
     overflow: Pool<Box<dyn SessionBackend>>,
     index: PagedIndex,
     len: usize,
+    /// Seated sessions whose status is Failed. Seating, removal and drain
+    /// keep it exact here; status changes happen in the bank's dispatch,
+    /// which reports them through [`SessionStore::note_failed`].
+    failed: usize,
 }
 
 impl SessionStore {
@@ -547,17 +512,26 @@ impl SessionStore {
         Self {
             p2x3: Pool::new(),
             p6x46: Pool::new(),
-            p6x52: Pool::new(),
-            p6x164: Pool::new(),
             overflow: Pool::new(),
             index: PagedIndex::new(),
             len: 0,
+            failed: 0,
         }
     }
 
     /// Sessions currently seated.
     pub(crate) fn len(&self) -> usize {
         self.len
+    }
+
+    /// Seated sessions whose status is Failed (O(1)).
+    pub(crate) fn failed(&self) -> usize {
+        self.failed
+    }
+
+    /// Records `n` seated sessions that turned Failed since the last call.
+    pub(crate) fn note_failed(&mut self, n: usize) {
+        self.failed += n;
     }
 
     /// Resolves `id` to its current handle (O(1), no hashing).
@@ -639,8 +613,6 @@ impl SessionStore {
         }
         shape!(p2x3, POOL_2X3, 2, 3);
         shape!(p6x46, POOL_6X46, 6, 46);
-        shape!(p6x52, POOL_6X52, 6, 52);
-        shape!(p6x164, POOL_6X164, 6, 164);
         Err(backend)
     }
 
@@ -686,11 +658,13 @@ impl SessionStore {
     /// pool's free list; the id's index entry is cleared in place.
     pub(crate) fn remove(&mut self, id: u64) -> Option<Box<dyn SessionBackend>> {
         let handle = self.index.get(id)?;
+        let failed = !self.meta(handle)?.status.is_active();
         let payload = with_pool_mut!(self, handle.pool, p => {
             p.take(handle.index, handle.generation).map(|payload| payload.boxed())
         })?;
         self.index.clear(id);
         self.len -= 1;
+        self.failed -= usize::from(failed);
         Some(payload)
     }
 
@@ -700,11 +674,10 @@ impl SessionStore {
         let mut out = Vec::with_capacity(self.len);
         self.p2x3.drain_into(&mut out);
         self.p6x46.drain_into(&mut out);
-        self.p6x52.drain_into(&mut out);
-        self.p6x164.drain_into(&mut out);
         self.overflow.drain_into(&mut out);
         self.index.reset();
         self.len = 0;
+        self.failed = 0;
         out
     }
 
@@ -755,14 +728,8 @@ impl SessionStore {
         StoreCensus {
             mono_2x3: self.p2x3.occupied(),
             mono_6x46: self.p6x46.occupied(),
-            mono_6x52: self.p6x52.occupied(),
-            mono_6x164: self.p6x164.occupied(),
             overflow: self.overflow.occupied(),
-            slots: self.p2x3.slots.len()
-                + self.p6x46.slots.len()
-                + self.p6x52.slots.len()
-                + self.p6x164.slots.len()
-                + self.overflow.slots.len(),
+            slots: self.p2x3.slots.len() + self.p6x46.slots.len() + self.overflow.slots.len(),
         }
     }
 
@@ -772,8 +739,6 @@ impl SessionStore {
         [
             self.p2x3.slots.as_mut_ptr() as usize,
             self.p6x46.slots.as_mut_ptr() as usize,
-            self.p6x52.slots.as_mut_ptr() as usize,
-            self.p6x164.slots.as_mut_ptr() as usize,
             self.overflow.slots.as_mut_ptr() as usize,
         ]
     }
@@ -892,12 +857,12 @@ mod tests {
                 generation: 1,
             },
             Handle {
-                pool: 4,
+                pool: POOL_OVERFLOW,
                 index: u32::MAX,
                 generation: GEN_MASK,
             },
             Handle {
-                pool: 2,
+                pool: POOL_6X46,
                 index: 123_456,
                 generation: 9_999,
             },

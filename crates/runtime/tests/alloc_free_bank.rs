@@ -9,11 +9,15 @@
 //! (sparse) per batch; the slab refactor replaced both with reused
 //! buffers and per-slot epoch marks, and this test keeps them honest.
 //!
-//! Lives in its own integration-test binary because `#[global_allocator]`
-//! is process-wide.
+//! Counts per thread (the shared `support/thread_alloc.rs` of the core
+//! crate's tests), so a second test in this binary could not leak its
+//! warm-up into the count; the test asserts that its batches ran inline on
+//! its own thread, so the count sees every step. Lives in its own
+//! integration-test binary because `#[global_allocator]` is process-wide.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+#[path = "../../core/tests/support/thread_alloc.rs"]
+mod thread_alloc;
+
 use std::sync::Arc;
 
 use kalmmind::gain::InverseGain;
@@ -22,33 +26,10 @@ use kalmmind::{KalmanFilter, KalmanModel, KalmanState};
 use kalmmind_exec::WorkerPool;
 use kalmmind_linalg::Matrix;
 use kalmmind_runtime::{FilterBank, SessionId};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use thread_alloc::{count_allocations, ThreadCountingAlloc};
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::SeqCst)
-}
+static GLOBAL: ThreadCountingAlloc = ThreadCountingAlloc;
 
 fn model() -> KalmanModel<f64> {
     KalmanModel::new(
@@ -107,22 +88,26 @@ fn routed_step_batch_is_alloc_free_in_steady_state() {
         bank.step_batch(&batch).expect("warmup batch");
     }
 
-    let before = allocations();
-    for z in &zs[WARMUP..] {
-        batch.clear();
-        batch.extend(ids.iter().map(|&id| (id, z.as_slice())));
-        let report = bank.step_batch(&batch).expect("steady-state batch");
-        assert_eq!(report.steps, SESSIONS);
-    }
-    let after = allocations();
+    let mut reports = Vec::with_capacity(STEPS);
+    let ((), allocations) = count_allocations(|| {
+        for z in &zs[WARMUP..] {
+            batch.clear();
+            batch.extend(ids.iter().map(|&id| (id, z.as_slice())));
+            reports.push(bank.step_batch(&batch).expect("steady-state batch"));
+        }
+    });
 
     assert_eq!(
-        after - before,
-        0,
-        "routed dispatch allocated in steady state ({} allocations across {} batches)",
-        after - before,
-        STEPS,
+        allocations, 0,
+        "routed dispatch allocated in steady state ({allocations} allocations across {STEPS} batches)"
     );
+    for report in &reports {
+        assert_eq!(report.steps, SESSIONS);
+        // The per-thread count sees only this thread: every session must
+        // have stepped inline here, none on a pool worker.
+        assert_eq!(report.pool.inline_sessions, SESSIONS as u64);
+        assert_eq!(report.pool.worker_sessions, 0);
+    }
     // Every session really stepped every batch.
     for &id in &ids {
         assert_eq!(bank.steps_ok(id), Some(WARMUP + STEPS));

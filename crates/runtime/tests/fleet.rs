@@ -258,8 +258,23 @@ fn shed_is_an_explicit_wire_status_while_other_shards_serve() {
         kalmmind_obs::set_trace_sampling(0);
         // The shed is attributable end to end: the terminal shed instant
         // carries the same trace id as the frame's root span, recorded on
-        // a different thread than the healthy shard's phase spans.
-        let events = kalmmind_obs::trace_events();
+        // a different thread than the healthy shard's phase spans. The
+        // server records the frame's `reply_write` and root spans after the
+        // reply has left, so wait (bounded) for the root span to land.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let events = loop {
+            let events = kalmmind_obs::trace_events();
+            let shed = events.iter().find(|e| e.label == "shed");
+            let rooted = shed.is_some_and(|shed| {
+                events
+                    .iter()
+                    .any(|e| e.label == "ingest_frame" && e.parent == 0 && e.trace == shed.trace)
+            });
+            if rooted || std::time::Instant::now() >= deadline {
+                break events;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        };
         let shed = events
             .iter()
             .find(|e| e.label == "shed")
